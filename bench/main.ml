@@ -23,10 +23,10 @@ module Table = Lopc_repro.Table
 (* --- Bechamel micro-benchmarks ------------------------------------------- *)
 
 (* The typed lint pass (cmt load + call graph + effect fixpoint + every
-   rule) as a micro line, so analysis-cost regressions show up in
-   BENCH_<gitsha>.json next to the solver numbers. Only present when the
-   .cmt trees exist — `main.exe micro` from a source checkout without a
-   build simply omits the line. *)
+   rule) and its numeric stage alone as micro lines, so analysis-cost
+   regressions show up in BENCH_<gitsha>.json next to the solver numbers.
+   Only present when the .cmt trees exist — `main.exe micro` from a
+   source checkout without a build simply omits the lines. *)
 let lint_typed_test () =
   let open Bechamel in
   let roots =
@@ -44,47 +44,21 @@ let lint_typed_test () =
              ignore (Lopc_analysis.Typed_driver.analyze_paths ~stage:`Numeric roots)));
     ]
 
-(* The per-file syntactic stage at 1 and 4 worker domains: the pair in
-   BENCH_<gitsha>.json is the record that --jobs actually pays off (the
-   outputs themselves are byte-identical — test_lint checks that). *)
-let lint_syntactic_tests () =
-  let open Bechamel in
-  let roots =
-    List.filter Sys.file_exists [ "lib"; "bin"; "bench"; "examples"; "test" ]
-  in
-  if roots = [] then []
-  else
-    let run jobs () =
-      ignore
-        (if jobs <= 1 then Lopc_analysis.Driver.lint_paths roots
-         else
-           Lopc_analysis.Driver.lint_paths
-             ~map_tasks:(fun tasks ->
-               Parallel.with_pool ~jobs (fun pool -> Parallel.run pool tasks))
-             roots)
-    in
-    [
-      Test.make ~name:"lint_syntactic (jobs 1)" (Staged.stage (run 1));
-      Test.make ~name:"lint_syntactic (jobs 4)" (Staged.stage (run 4));
-    ]
-
 (* Deterministic pseudo-random event times for the queue micros (Lehmer
-   LCG, fixed seed): every run measures the same push/pop sequence, and
-   the heap and calendar lines see identical workloads. *)
+   LCG, fixed seed): every run measures the same push/pop sequence. *)
 let queue_times n =
   let state = ref 1 in
   Array.init n (fun _ ->
       state := !state * 48271 mod 0x7FFFFFFF;
       Float.of_int !state /. 1e6)
 
-(* The two pending-event structures on the two shapes the simulator
-   produces: a drain (fault storms, end-of-run) and a steady hold at ~32
-   pending events (the all-to-all steady state), scheduling each new
-   event a pseudo-random delay after the one just popped. *)
+(* The pending-event heap on the two shapes the simulator produces: a
+   drain (fault storms, end-of-run) and a steady hold at ~32 pending
+   events (the all-to-all steady state), scheduling each new event a
+   pseudo-random delay after the one just popped. *)
 let queue_tests () =
   let open Bechamel in
   let module H = Lopc_eventsim.Event_heap in
-  let module C = Lopc_eventsim.Calendar_queue in
   let drain_times = queue_times 64 in
   let hold_times = queue_times 1024 in
   let heap_drain () =
@@ -93,15 +67,6 @@ let queue_tests () =
       Array.iter (fun t -> H.push h ~time:t 0) drain_times;
       while not (H.is_empty h) do
         ignore (H.pop_payload h)
-      done
-    done
-  in
-  let calendar_drain () =
-    let q = C.create () in
-    for _ = 1 to 16 do
-      Array.iter (fun t -> C.push q ~time:t 0) drain_times;
-      while not (C.is_empty q) do
-        ignore (C.pop_payload q)
       done
     done
   in
@@ -116,24 +81,10 @@ let queue_tests () =
       H.push h ~time:(t +. hold_times.(i land 1023)) 0
     done
   in
-  let calendar_hold () =
-    let q = C.create () in
-    for i = 0 to 31 do
-      C.push q ~time:hold_times.(i) 0
-    done;
-    for i = 0 to 999 do
-      let t = C.peek_time_exn q in
-      ignore (C.pop_payload q);
-      C.push q ~time:(t +. hold_times.(i land 1023)) 0
-    done
-  in
   [
     Test.make ~name:"event_heap drain (64-deep x16)" (Staged.stage heap_drain);
-    Test.make ~name:"calendar_queue drain (64-deep x16)" (Staged.stage calendar_drain);
     Test.make ~name:"event_heap hold (32 pending, 1000 events)"
       (Staged.stage heap_hold);
-    Test.make ~name:"calendar_queue hold (32 pending, 1000 events)"
-      (Staged.stage calendar_hold);
   ]
 
 let micro_tests () =
@@ -201,7 +152,6 @@ let micro_tests () =
   ]
   @ queue_tests ()
   @ lint_typed_test ()
-  @ lint_syntactic_tests ()
 
 (* Estimates sorted by test name: Bechamel hands results back in a
    Hashtbl, whose iteration order is unspecified, so reporting straight

@@ -176,35 +176,39 @@ let pattern_arg =
            $(b,hotspot=NODE:FRACTION) or $(b,multi-hop=H).")
 
 let parse_pattern ~nodes s =
-  let fail msg = `Error (false, msg) in
   let split_eq s =
     match String.index_opt s '=' with
     | Some i ->
       (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
     | None -> (s, None)
   in
-  match split_eq s with
-  | "all-to-all", None -> `Ok Pattern.All_to_all
-  | "staggered", None -> `Ok Pattern.All_to_all_staggered
-  | "client-server", Some k -> (
-    match int_of_string_opt k with
-    | Some servers -> `Ok (Pattern.Client_server { servers })
-    | None -> fail "client-server=K needs an integer K")
-  | "client-server", None ->
-    (* A placeholder; callers that support --optimal-servers replace it. *)
-    `Ok (Pattern.Client_server { servers = max 1 (nodes / 4) })
-  | "hotspot", Some spec -> (
-    match String.split_on_char ':' spec with
-    | [ node; fraction ] -> (
-      match (int_of_string_opt node, float_of_string_opt fraction) with
-      | Some hot, Some fraction -> `Ok (Pattern.Hotspot { hot; fraction })
-      | _ -> fail "hotspot=NODE:FRACTION needs an int and a float")
-    | _ -> fail "hotspot=NODE:FRACTION needs both fields")
-  | "multi-hop", Some h -> (
-    match int_of_string_opt h with
-    | Some hops -> `Ok (Pattern.Multi_hop { hops })
-    | None -> fail "multi-hop=H needs an integer H")
-  | other, _ -> fail (Printf.sprintf "unknown pattern %S" other)
+  let parsed =
+    match split_eq s with
+    | "all-to-all", None -> Ok Pattern.All_to_all
+    | "staggered", None -> Ok Pattern.All_to_all_staggered
+    | "client-server", Some k -> (
+      match int_of_string_opt k with
+      | Some servers -> Ok (Pattern.Client_server { servers })
+      | None -> Error "client-server=K needs an integer K")
+    | "client-server", None ->
+      (* A placeholder; callers that support --optimal-servers replace it. *)
+      Ok (Pattern.Client_server { servers = max 1 (nodes / 4) })
+    | "hotspot", Some spec -> (
+      match String.split_on_char ':' spec with
+      | [ node; fraction ] -> (
+        match (int_of_string_opt node, float_of_string_opt fraction) with
+        | Some hot, Some fraction -> Ok (Pattern.Hotspot { hot; fraction })
+        | _ -> Error "hotspot=NODE:FRACTION needs an int and a float")
+      | _ -> Error "hotspot=NODE:FRACTION needs both fields")
+    | "multi-hop", Some h -> (
+      match int_of_string_opt h with
+      | Some hops -> Ok (Pattern.Multi_hop { hops })
+      | None -> Error "multi-hop=H needs an integer H")
+    | other, _ -> Error (Printf.sprintf "unknown pattern %S" other)
+  in
+  match Result.bind parsed (Pattern.validate ~nodes) with
+  | Ok pat -> `Ok pat
+  | Error msg -> `Error (false, msg)
 
 let params_of ~p ~st ~so ~c2 =
   try `Ok (Lopc.Params.create ~c2 ~p ~st ~so ())
@@ -560,23 +564,34 @@ let validate_cmd =
         ("multi-hop 2", Pattern.Multi_hop { hops = 2 }, 1000., 1.);
       ]
     in
-    Format.printf "model vs simulator, P=%d, So=200, St=40, %d cycles/case@.@." p cycles;
-    Format.printf "%-28s %12s %12s %8s@." "case" "model X" "sim X" "error";
-    List.iter
-      (fun (name, pat, w, c2) ->
-        let params = Lopc.Params.create ~c2 ~p ~st:40. ~so:200. () in
-        let model = (G.solve (Pattern.to_general params ~w pat)).G.system_throughput in
-        let spec =
-          Pattern.to_spec ~nodes:p ~work:(D.of_mean_scv ~mean:w ~scv:1.)
-            ~handler:(D.of_mean_scv ~mean:200. ~scv:c2) ~wire:(D.Constant 40.) pat
-        in
-        let sim =
-          Metrics.throughput (Machine.run ~seed ~spec ~cycles ()).Machine.metrics
-        in
-        Format.printf "%-28s %12.6f %12.6f %+7.2f%%@." name model sim
-          (100. *. (model -. sim) /. sim))
-      cases;
-    `Ok 0
+    (* Every case must fit the machine before the table starts, so a
+       bad -p exits 2 with the same message as predict and simulate. *)
+    let invalid =
+      List.find_map
+        (fun (_, pat, _, _) ->
+          match Pattern.validate ~nodes:p pat with Ok _ -> None | Error msg -> Some msg)
+        cases
+    in
+    match invalid with
+    | Some msg -> `Error (false, msg)
+    | None ->
+      Format.printf "model vs simulator, P=%d, So=200, St=40, %d cycles/case@.@." p cycles;
+      Format.printf "%-28s %12s %12s %8s@." "case" "model X" "sim X" "error";
+      List.iter
+        (fun (name, pat, w, c2) ->
+          let params = Lopc.Params.create ~c2 ~p ~st:40. ~so:200. () in
+          let model = (G.solve (Pattern.to_general params ~w pat)).G.system_throughput in
+          let spec =
+            Pattern.to_spec ~nodes:p ~work:(D.of_mean_scv ~mean:w ~scv:1.)
+              ~handler:(D.of_mean_scv ~mean:200. ~scv:c2) ~wire:(D.Constant 40.) pat
+          in
+          let sim =
+            Metrics.throughput (Machine.run ~seed ~spec ~cycles ()).Machine.metrics
+          in
+          Format.printf "%-28s %12.6f %12.6f %+7.2f%%@." name model sim
+            (100. *. (model -. sim) /. sim))
+        cases;
+      `Ok 0
   in
   Cmd.v
     (Cmd.info "validate" ~doc:"Check the model against the simulator on a workload grid")

@@ -21,7 +21,6 @@ module Typed_driver = Lopc_analysis.Typed_driver
 module Explain = Lopc_analysis.Explain
 module Finding = Lopc_analysis.Finding
 module Baseline = Lopc_analysis.Baseline
-module Parallel = Lopc_repro.Parallel
 
 let usage =
   "lopc_lint [OPTIONS] [PATH ...]\n\
@@ -60,17 +59,6 @@ let resolve_roots paths =
       roots;
     roots
 
-(* The per-file syntactic stage, fanned over a worker pool when --jobs
-   asks for more than one. Findings are re-sorted globally, so the output
-   is byte-identical whatever the job count. *)
-let syntactic_findings ~jobs roots =
-  if jobs <= 1 then Driver.lint_paths roots
-  else
-    let map_tasks tasks =
-      Parallel.with_pool ~jobs (fun pool -> Parallel.run pool tasks)
-    in
-    Driver.lint_paths ~map_tasks roots
-
 let typed_findings ~stage ~entries roots =
   match Typed_driver.analyze_paths ~entries ~stage roots with
   | exception Typed_driver.No_cmt_inputs searched -> no_cmt searched
@@ -83,14 +71,12 @@ let typed_findings ~stage ~entries roots =
 let baseline_main args =
   let mode = ref None in
   let file = ref "lint-baseline.tsv" in
-  let jobs = ref 1 in
   let paths = ref [] in
   let spec =
     [
       ( "--baseline",
         Arg.Set_string file,
         "FILE Baseline file (default lint-baseline.tsv)" );
-      ("--jobs", Arg.Set_int jobs, "N Worker domains for the syntactic stage");
     ]
   in
   let anon p =
@@ -121,8 +107,7 @@ let baseline_main args =
      same findings `--typed --warn-as-error` sees. *)
   let findings =
     List.sort_uniq Finding.compare
-      (syntactic_findings ~jobs:!jobs roots
-      @ typed_findings ~stage:`All ~entries:[] roots)
+      (Driver.lint_paths roots @ typed_findings ~stage:`All ~entries:[] roots)
   in
   match mode with
   | "write" ->
@@ -151,7 +136,6 @@ let () =
   let typed = ref false in
   let absint = ref false in
   let warn_as_error = ref false in
-  let jobs = ref 1 in
   let entries = ref [] in
   let explain = ref None in
   let effects_key = ref None in
@@ -177,10 +161,6 @@ let () =
         Arg.Set absint,
         " Also run just the interval abstract-interpretation rules (a subset \
          of --typed, for fast iteration)" );
-      ( "--jobs",
-        Arg.Set_int jobs,
-        "N Fan the per-file syntactic stage over N worker domains (default 1); \
-         output is byte-identical to --jobs 1" );
       ( "--entry",
         Arg.String (fun e -> entries := e :: !entries),
         "KEY Extra determinism-taint entry point (key or key prefix, e.g. \
@@ -261,7 +241,7 @@ let () =
         exit 2
       end)
   | None -> ());
-  let syntactic = syntactic_findings ~jobs:!jobs roots in
+  let syntactic = Driver.lint_paths roots in
   let typed_findings =
     if !typed || !absint then
       let stage = if !typed then `All else `Numeric in

@@ -37,17 +37,10 @@ type parsed =
   | Signature of Parsetree.signature
   | Parse_failed of Location.t * string
 
-(* compiler-libs' lexer keeps global mutable state (its string buffer and
-   comment stack), so parsing is not domain-safe. Serialise the parse
-   itself; the rule checks, suppression filtering and sorting — the bulk
-   of a task under [--jobs N] — still run in parallel. *)
-let parse_lock = Mutex.create ()
-
 let parse ~path contents =
   let kind = if Filename.check_suffix path ".mli" then `Intf else `Impl in
   let lexbuf = Lexing.from_string contents in
   Location.init lexbuf path;
-  Mutex.protect parse_lock @@ fun () ->
   match kind with
   | `Impl -> (
     try Structure (Parse.implementation lexbuf) with
@@ -118,37 +111,10 @@ let source_files roots =
   List.iter visit roots;
   List.rev !acc
 
-(* [map_tasks] is the parallelism seam: the CLI injects a pool-backed
-   mapper ([Lopc_repro.Parallel.run]) for [--jobs N] without this library
-   depending on the runtime. Any mapper must return results in task
-   order; findings are then concatenated in file order and sorted, so the
-   output is byte-identical whatever the worker count.
-
-   Each task is the whole per-file job — read, parse, check — and only
-   the parse itself runs under [parse_lock]. Parsing stays serialised
-   (compiler-libs' lexer state, see above), but it now overlaps with
-   other files' reads and rule checks instead of completing for every
-   file before the first check starts: the old layout parsed everything
-   up front as a serial prefix, which made [--jobs N] strictly slower
-   than [--jobs 1] (pool overhead with no overlap to pay for it). *)
-let lint_paths ?rules ?map_tasks roots =
-  let files = source_files roots in
-  let tasks =
-    Array.of_list
-      (List.map
-         (fun path () ->
-           match read_file path with
-           | contents -> check_parsed ?rules ~path (parse ~path contents)
-           | exception Sys_error msg ->
-             [ Rule.finding parse_error_rule ~loc:(whole_file_loc path) msg ])
-         files)
-  in
-  let results =
-    match map_tasks with
-    | Some run -> run tasks
-    | None -> Array.map (fun task -> task ()) tasks
-  in
-  Array.to_list results |> List.concat |> List.sort Finding.compare
+let lint_paths ?rules roots =
+  source_files roots
+  |> List.concat_map (lint_file ?rules)
+  |> List.sort Finding.compare
 
 type format = Human | Json | Sarif
 

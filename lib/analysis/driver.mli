@@ -25,15 +25,9 @@ val lint_file : ?rules:Rule.t list -> string -> Finding.t list
     skipping _build and VCS directories, sorted. *)
 val source_files : string list -> string list
 
-(** Lint every source under the given roots. [map_tasks] runs the per-file
-    tasks (the [--jobs] seam — the CLI passes a {!Lopc_repro.Parallel}
-    pool's [run]); it must preserve task order. Output is byte-identical
-    for any mapper because findings are re-sorted globally. *)
-val lint_paths :
-  ?rules:Rule.t list ->
-  ?map_tasks:((unit -> Finding.t list) array -> Finding.t list array) ->
-  string list ->
-  Finding.t list
+(** Lint every source under the given roots, one file after another.
+    Findings are sorted with {!Finding.compare}. *)
+val lint_paths : ?rules:Rule.t list -> string list -> Finding.t list
 
 type format = Human | Json | Sarif
 

@@ -94,6 +94,10 @@ let may_neg_inf t =
 
 let may_inf t = may_pos_inf t || may_neg_inf t
 
+(* Whether the range [lo, hi] holds a finite float: any non-degenerate
+   range does, and a point does unless it is an infinity. *)
+let has_finite lo hi = lo < hi || Float.is_finite lo
+
 (* Hull of the non-NaN corner values; a NaN corner means some attainable
    endpoint combination produces NaN concretely, so it sets the flag. *)
 let of_corners ~nan corners =
@@ -150,7 +154,6 @@ let mul a b =
          [-0,-0] * [-inf,inf] every corner is NaN while -0. *. 1. is -0.
          Whenever one operand admits 0 and the other a finite value, 0 is
          an attainable product, so pin it into the hull explicitly. *)
-      let has_finite lo hi = lo < hi || Float.is_finite lo in
       let corners = [ al *. bl; al *. bh; ah *. bl; ah *. bh ] in
       let corners =
         if
@@ -174,7 +177,15 @@ let div a b =
         }
       else
         let nan = nan || (may_inf a && may_inf b) in
-        of_corners ~nan [ al /. bl; al /. bh; ah /. bl; ah /. bh ])
+        (* Same hole as in [mul]: finite / inf is ±0, but when both of
+           [a]'s endpoints are infinite and [b] is a single infinity every
+           corner is inf/inf = NaN. A finite member of [a] over an
+           infinite member of [b] attains 0, so pin it in. *)
+        let corners = [ al /. bl; al /. bh; ah /. bl; ah /. bh ] in
+        let corners =
+          if has_finite al ah && may_inf b then 0. :: corners else corners
+        in
+        of_corners ~nan corners)
     a b
 
 let min_ =

@@ -13,18 +13,8 @@ type handle
     work-completion event that must be withdrawn when a message preempts
     the thread). *)
 
-type queue_kind =
-  | Heap      (** Binary min-heap ({!Event_heap}): O(log n), the default. *)
-  | Calendar
-      (** Calendar queue ({!Calendar_queue}): O(1) amortized at high
-          event rates. Pops in exactly the same [(time, seq)] order as
-          [Heap], so results are identical — only the constant factors
-          differ. *)
-
-val create : ?queue:queue_kind -> unit -> t
-(** A fresh engine with the clock at [0.]. [queue] selects the pending
-    event structure (default [Heap]); both orders events identically, so
-    the choice is purely a performance knob. *)
+val create : unit -> t
+(** A fresh engine with the clock at [0.]. *)
 
 val now : t -> float
 (** Current simulation time. *)

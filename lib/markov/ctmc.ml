@@ -14,7 +14,7 @@ type status =
   | Exhausted of { reason : Lopc_robust.Budget.stop_reason }
   | Too_large of { max_states : int }
 
-type iteration = Auto | Power | Power_aitken | Gauss_seidel
+type iteration = Auto | Power | Gauss_seidel
 
 let status_to_string = function
   | Converged { iters } -> Printf.sprintf "converged in %d iterations" iters
@@ -248,7 +248,7 @@ let solve_status ?budget ?(iteration = Auto) ?(max_states = 2_000_000)
     let method_ =
       match iteration with
       | Auto -> if strongly_connected m c then Gauss_seidel else Power
-      | (Power | Power_aitken | Gauss_seidel) as it -> it
+      | (Power | Gauss_seidel) as it -> it
     in
     let pi = Array.make n (1. /. Float.of_int n) in
     let iter = ref 0 in
@@ -256,7 +256,7 @@ let solve_status ?budget ?(iteration = Auto) ?(max_states = 2_000_000)
     let converged = ref false in
     (match method_ with
     | Auto -> assert false
-    | Power | Power_aitken ->
+    | Power ->
       (* Uniformized power iteration pi <- pi P, P = I + Q / lambda, on the
          CSR rows. [diff] doubles as the l1 residual of the pre-sweep
          iterate (next - pi = pi (P - I) = pi Q / lambda), so convergence
@@ -264,8 +264,6 @@ let solve_status ?budget ?(iteration = Auto) ?(max_states = 2_000_000)
          drift cannot accumulate over long runs (historically [sum pi]
          drifted freely and convergence was declared on the raw step). *)
       let next = Array.make n 0. in
-      let prev = if method_ = Power_aitken then Array.make n 0. else [||] in
-      let prev2 = if method_ = Power_aitken then Array.make n 0. else [||] in
       while (not !converged) && !iter < max_iter do
         check_budget ();
         incr iter;
@@ -282,39 +280,10 @@ let solve_status ?budget ?(iteration = Auto) ?(max_states = 2_000_000)
         for i = 0 to n - 1 do
           diff := !diff +. Float.abs (next.(i) -. pi.(i))
         done;
-        if method_ = Power_aitken then begin
-          Array.blit prev 0 prev2 0 n;
-          Array.blit pi 0 prev 0 n
-        end;
         Array.blit next 0 pi 0 n;
         normalize pi;
         last_diff := !diff;
         if !diff <= tol then converged := true
-        else if
-          method_ = Power_aitken && !iter >= 3 && !iter mod 8 = 0
-        then begin
-          (* Aitken delta-squared extrapolation on the last three iterates;
-             the guarded denominator skips components that already
-             converged. Negative extrapolants are clamped — the result is
-             only a better starting point, never the reported answer (the
-             residual test above still gates convergence). *)
-          for i = 0 to n - 1 do
-            let d2 = pi.(i) -. (2. *. prev.(i)) +. prev2.(i) in
-            if Float.abs d2 > 1e-300 then begin
-              let step = pi.(i) -. prev.(i) in
-              let x =
-                (pi.(i) -. (step *. step /. d2)
-                [@lint.allow
-                  "division-by-vanishing"
-                    "the enclosing branch holds only when |d2| > 1e-300, so the \
-                     denominator is bounded away from 0; a non-finite quotient is \
-                     additionally rejected by the Float.is_finite guard below"])
-              in
-              if x > 0. && Float.is_finite x then pi.(i) <- x
-            end
-          done;
-          normalize pi
-        end
       done
     | Gauss_seidel ->
       (* Balance-equation Gauss–Seidel on the transposed (incoming) matrix:

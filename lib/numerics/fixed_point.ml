@@ -193,35 +193,3 @@ let solve_vector ?(damping = 1.) ?(tol = 1e-10) ?(max_iter = 10_000) ~f x0 =
   match vector_impl ~damping ~tol ~max_iter ~f ~name:"Fixed_point.solve_vector" x0 with
   | outcome, Converged _, _ -> outcome
   | _, _, reason -> raise (Diverged reason)
-
-let solve_scalar_aitken ?(tol = 1e-12) ?(max_iter = 200) ~f x0 =
-  let x = ref x0 in
-  let answer = ref None in
-  (try
-     for _ = 1 to max_iter do
-       let x1 = f !x in
-       let x2 = f x1 in
-       if not (Float.is_finite x1 && Float.is_finite x2) then
-         raise (Diverged "Aitken iteration left the finite domain");
-       let denom = x2 -. (2. *. x1) +. !x in
-       let next =
-         if Float.equal denom 0. then x2
-         else
-           !x
-           -. (((x1 -. !x) ** 2.)
-              /. denom
-              [@lint.allow
-                "division-by-vanishing"
-                  "the Float.equal guard excludes exactly zero; carving a point out \
-                   of an interval is beyond the interval domain"])
-       in
-       if Float.abs (next -. !x) <= tol *. Float.max 1. (Float.abs next) then begin
-         answer := Some next;
-         raise Exit
-       end;
-       x := next
-     done
-   with Exit -> ());
-  match !answer with
-  | Some r -> r
-  | None -> raise (Diverged "Aitken iteration budget exhausted")

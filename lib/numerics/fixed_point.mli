@@ -102,10 +102,3 @@ val solve_vector_status :
     use to diagnose saturation. [probe] and [budget] are as in
     {!solve_scalar_status}, with the full iterate copied per event. Only
     raises [Invalid_argument] on a bad [damping]. *)
-
-val solve_scalar_aitken :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> float -> float
-(** [solve_scalar_aitken ~f x0] accelerates plain iteration with Aitken's
-    Δ² extrapolation (Steffensen's method) — typically converging in a
-    handful of steps on the smooth LoPC maps.
-    @raise Diverged if convergence fails. *)

@@ -189,6 +189,13 @@ let refine_laws =
              a);
   ]
 
+(* Every corner of [top / inf] is inf/inf = NaN, but a finite numerator
+   over infinity is 0, so the hull must hold 0. The transfer law above
+   only reaches this case on some random seeds. *)
+let test_div_finite_by_infinity () =
+  Alcotest.(check bool) "0 is in top / inf" true
+    (Interval.mem 0. (Interval.div Interval.top (Interval.const infinity)))
+
 (* --- the numeric rules on fixtures -------------------------------------- *)
 
 (* Each bad fixture is decidable only with interval reasoning: the guard
@@ -230,4 +237,7 @@ let test_summary_format () =
 let suite =
   List.map QCheck_alcotest.to_alcotest (lattice_laws @ transfer_laws @ refine_laws)
   @ fixture_tests
-  @ [ Alcotest.test_case "--show-intervals format" `Quick test_summary_format ]
+  @ [
+      Alcotest.test_case "div: finite over infinity" `Quick test_div_finite_by_infinity;
+      Alcotest.test_case "--show-intervals format" `Quick test_summary_format;
+    ]

@@ -262,14 +262,12 @@ let test_sarif_report () =
   Alcotest.(check bool) "columns are 1-based" true
     (contains {|"startLine": 1, "startColumn": 11|})
 
-(* --- deterministic merge of the parallel syntactic stage ----------------- *)
+(* --- whole-tree linting -------------------------------------------------- *)
 
-(* A hermetic source tree seeded with findings in every file, so the merge
-   actually has something to order. The comments and string literals are
-   load-bearing: they drive the compiler-libs lexer through its global
-   string/comment buffers, which is exactly the state a non-serialised
-   parallel parse races on (lexer.mll assertion failures). Keep the files
-   big enough that 8 domains genuinely overlap. *)
+(* A hermetic source tree seeded with findings in every file, so the
+   global sort actually has something to order. The nested comments and
+   escaped string literals drive the compiler-libs lexer through its
+   string/comment buffers. *)
 let with_seeded_tree f =
   let dir = Filename.temp_file "lopc_lint_test" "" in
   Sys.remove dir;
@@ -284,7 +282,7 @@ let with_seeded_tree f =
         Out_channel.with_open_bin path (fun oc ->
             Printf.fprintf oc "let eq%d x = x = %d.0\nlet div%d w u = w /. (1. -. u)\n"
               i i i;
-            for j = 0 to 199 do
+            for j = 0 to 19 do
               Printf.fprintf oc
                 "(* comment %d.%d with (* nesting *) and \"quotes\" *)\n\
                  let s%d_%d = \"literal \\\"%d\\\" with escapes\\n\"\n"
@@ -296,73 +294,19 @@ let with_seeded_tree f =
 let render_json findings =
   Format.asprintf "%a" (fun ppf -> Driver.report ppf ~format:Driver.Json) findings
 
-let test_parallel_merge_identical () =
-  with_seeded_tree (fun dir ->
-      let sequential = Driver.lint_paths [ dir ] in
-      Alcotest.(check bool) "the seeded tree has findings" true (sequential <> []);
-      (* Reverse-index execution: proves the merge does not depend on task
-         completion order. *)
-      let reversed =
-        Driver.lint_paths
-          ~map_tasks:(fun tasks ->
-            let n = Array.length tasks in
-            let out = Array.make n [] in
-            for i = n - 1 downto 0 do
-              out.(i) <- tasks.(i) ()
-            done;
-            out)
-          [ dir ]
-      in
-      Alcotest.(check string) "reverse-order execution is byte-identical"
-        (render_json sequential) (render_json reversed);
-      (* And the real worker pool, as wired by [lopc_lint --jobs 8] —
-         repeated, because a racy parallel parse (compiler-libs' lexer
-         state is global) fails intermittently, not every run. *)
-      for round = 1 to 5 do
-        let pooled =
-          Driver.lint_paths
-            ~map_tasks:(fun tasks ->
-              Lopc_repro.Parallel.with_pool ~jobs:8 (fun pool ->
-                  Lopc_repro.Parallel.run pool tasks))
-            [ dir ]
-        in
-        Alcotest.(check string)
-          (Printf.sprintf "8-domain pool is byte-identical (round %d)" round)
-          (render_json sequential) (render_json pooled)
-      done)
+let rec in_compare_order = function
+  | a :: (b :: _ as rest) -> Finding.compare a b <= 0 && in_compare_order rest
+  | [] | [ _ ] -> true
 
-(* Regression for the serial-prefix fix: [lint_paths] used to read and
-   parse every file before the first rule check ran, so extra workers
-   only ever added pool overhead and [--jobs 4] benchmarked slower than
-   [--jobs 1]. With the parse inside each task, worker domains overlap
-   parsing with checking and 4 workers must not lose to 1. Wall-clock
-   comparison is only meaningful with real parallelism, so single-core
-   machines skip the assertion (the byte-identity test above still
-   runs). *)
-let test_parallel_jobs_speedup () =
-  if Domain.recommended_domain_count () >= 2 then
-    with_seeded_tree (fun dir ->
-        let time_of jobs =
-          let best = ref Float.infinity in
-          for _ = 1 to 3 do
-            let t0 = Unix.gettimeofday () in
-            ignore
-              (if jobs = 1 then Driver.lint_paths [ dir ]
-               else
-                 Driver.lint_paths
-                   ~map_tasks:(fun tasks ->
-                     Lopc_repro.Parallel.with_pool ~jobs (fun pool ->
-                         Lopc_repro.Parallel.run pool tasks))
-                   [ dir ]);
-            best := Float.min !best (Unix.gettimeofday () -. t0)
-          done;
-          !best
-        in
-        let serial = time_of 1 in
-        let parallel = time_of 4 in
-        if parallel >= serial then
-          Alcotest.failf "lint with 4 workers (%.1f ms) not faster than 1 (%.1f ms)"
-            (1000. *. parallel) (1000. *. serial))
+let test_lint_paths_sorted_and_stable () =
+  with_seeded_tree (fun dir ->
+      let findings = Driver.lint_paths [ dir ] in
+      Alcotest.(check bool) "the seeded tree has findings" true (findings <> []);
+      Alcotest.(check bool) "findings are in Finding.compare order" true
+        (in_compare_order findings);
+      Alcotest.(check string) "a second run renders byte-identical JSON"
+        (render_json findings)
+        (render_json (Driver.lint_paths [ dir ])))
 
 let suite =
   [
@@ -388,6 +332,6 @@ let suite =
     Alcotest.test_case "parse error" `Quick test_parse_error;
     Alcotest.test_case "json report" `Quick test_json_report;
     Alcotest.test_case "sarif report" `Quick test_sarif_report;
-    Alcotest.test_case "parallel merge identical" `Quick test_parallel_merge_identical;
-    Alcotest.test_case "parallel jobs speedup" `Quick test_parallel_jobs_speedup;
+    Alcotest.test_case "findings sorted and stable" `Quick
+      test_lint_paths_sorted_and_stable;
   ]

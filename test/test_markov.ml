@@ -339,23 +339,6 @@ let test_ctmc_stiff_sum_pi () =
     feq 1e-9 "pi2" (1e3 /. z) (Ctmc.probability sol 2)
   | _, st -> Alcotest.failf "unexpected auto status: %s" (Ctmc.status_to_string st)
 
-(* Aitken-accelerated power must land on the Auto answer. *)
-let test_ctmc_aitken () =
-  let l = 2. and m = 3. and k = 5 in
-  let transitions n =
-    (if n < k then [ (n + 1, l) ] else []) @ if n > 0 then [ (n - 1, m) ] else []
-  in
-  let reference = Ctmc.solve ~initial:0 ~transitions () in
-  match Ctmc.solve_status ~iteration:Ctmc.Power_aitken ~initial:0 ~transitions () with
-  | Some sol, Ctmc.Converged _ ->
-    for n = 0 to k do
-      feq 1e-9
-        (Printf.sprintf "pi%d" n)
-        (Ctmc.probability reference n)
-        (Ctmc.probability sol n)
-    done
-  | _, st -> Alcotest.failf "unexpected status: %s" (Ctmc.status_to_string st)
-
 let suite =
   [
     Alcotest.test_case "ctmc: two-state chain" `Quick test_ctmc_two_state;
@@ -369,7 +352,6 @@ let suite =
     Alcotest.test_case "exact machine: validation" `Quick test_exact_machine_validation;
     Alcotest.test_case "ctmc: stiff chain keeps sum pi = 1" `Quick
       test_ctmc_stiff_sum_pi;
-    Alcotest.test_case "ctmc: aitken matches auto" `Quick test_ctmc_aitken;
     QCheck_alcotest.to_alcotest prop_sparse_matches_seed;
     QCheck_alcotest.to_alcotest prop_gs_matches_power;
   ]

@@ -54,10 +54,6 @@ let test_fixed_point_damped () =
   let r = Fixed_point.solve_scalar ~damping:0.5 ~f:(fun x -> 4. -. x) 0. in
   feq 1e-8 "fixed point 2" 2. r
 
-let test_fixed_point_aitken () =
-  let r = Fixed_point.solve_scalar_aitken ~f:cos 1. in
-  feq 1e-8 "dottie via aitken" 0.7390851332151607 r
-
 let test_fixed_point_vector () =
   (* Rotation-like contraction toward (1, 2). *)
   let f v = [| 1. +. (0.5 *. (v.(1) -. 2.)); 2. +. (0.25 *. (v.(0) -. 1.)) |] in
@@ -269,7 +265,6 @@ let suite =
     Alcotest.test_case "expand bracket upward" `Quick test_expand_bracket;
     Alcotest.test_case "fixed point scalar" `Quick test_fixed_point_scalar;
     Alcotest.test_case "fixed point damped oscillation" `Quick test_fixed_point_damped;
-    Alcotest.test_case "fixed point aitken" `Quick test_fixed_point_aitken;
     Alcotest.test_case "fixed point vector" `Quick test_fixed_point_vector;
     Alcotest.test_case "fixed point divergence detected" `Quick test_fixed_point_diverged;
     Alcotest.test_case "polynomial eval" `Quick test_poly_eval;
