@@ -676,8 +676,8 @@ let calibrate_cmd =
         | Some _ -> ()
         | None ->
           Format.printf
-            "  note: St and So are nearly degenerate from R(W) alone; pass
-            \  --fixed-st with a ping-pong-measured latency to identify So.@.");
+            "  note: St and So are nearly degenerate from R(W) alone; pass@\n\
+            \        --fixed-st with a ping-pong-measured latency to identify So.@.");
         `Ok 0
       with Invalid_argument msg -> `Error (false, msg))
   in

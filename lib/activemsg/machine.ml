@@ -64,10 +64,14 @@ type pending = {
   mutable last_sent : float;
 }
 
+(* The quantum's finish time (Running) and remaining work (Suspended) live
+   in the machine's flat [work_finish] / [work_left] arrays: a float in a
+   constructor argument is boxed, so carrying them here would allocate on
+   every quantum start and preemption. *)
 type thread_state =
   | Unstarted
-  | Running of { handle : Engine.handle; finish : float }
-  | Suspended of { remaining : float }  (* preempted, or waiting for queue drain *)
+  | Running of Engine.handle
+  | Suspended  (* preempted, or waiting for queue drain *)
   | Blocked
 
 type node = {
@@ -107,6 +111,11 @@ type machine = {
      the stores on the per-message path never allocate a float box. *)
   send_ni_free : float array;
   recv_ni_free : float array;
+  (* Per-node thread timing, flat for the same reason: [work_finish] is
+     when a Running thread's quantum ends, [work_left] the work a Suspended
+     thread still has to do. *)
+  work_finish : float array;
+  work_left : float array;
   (* Per-node fault-injection streams. Split from the master AFTER the node
      streams, and consulted only for fault decisions, so a run with a
      zero-probability fault config consumes exactly the same node-stream
@@ -119,9 +128,6 @@ type machine = {
   mutable interrupted : Lopc_robust.Budget.stop_reason option;
 }
 
-(* Run [f] on the probe, when one is attached. *)
-let obs_event m f = match m.obs with None -> () | Some o -> f o
-
 let check_hop m hop =
   if hop < 0 || hop >= m.spec.Spec.nodes then
     invalid_arg
@@ -133,7 +139,9 @@ let check_hop m hop =
 let set_thread_running m node v =
   let now = Engine.now m.engine in
   Time_average.update m.metrics.Metrics.busy_thread.(node.id) ~now v;
-  obs_event m (fun o -> Sim_probe.thread_running o ~node:node.id ~now (v > 0.5))
+  match m.obs with
+  | None -> ()
+  | Some o -> Sim_probe.thread_running o ~node:node.id ~now (v > 0.5)
 
 let queue_signal m node kind delta =
   let arr =
@@ -154,19 +162,19 @@ let busy_signal m node kind v =
 
 (* --- thread lifecycle ---------------------------------------------------- *)
 
-let rec start_thread_work m node remaining =
-  let now = Engine.now m.engine in
+let rec start_thread_work m node =
+  let remaining = m.work_left.(node.id) in
   let handle = Engine.schedule m.engine ~delay:remaining (fun _ -> thread_done m node) in
-  node.tstate <- Running { handle; finish = now +. remaining };
+  m.work_finish.(node.id) <- Engine.now m.engine +. remaining;
+  node.tstate <- Running handle;
   set_thread_running m node 1.
 
 (* The thread may (re)start only when no handler holds the CPU; with a
    protocol processor the CPU is always available to the thread. *)
 and resume_thread_if_possible m node =
   match node.tstate with
-  | Suspended { remaining } ->
-    if m.spec.Spec.protocol_processor || not node.busy then
-      start_thread_work m node remaining
+  | Suspended ->
+    if m.spec.Spec.protocol_processor || not node.busy then start_thread_work m node
   | Unstarted | Running _ | Blocked -> ()
 
 (* Begin a new compute/request cycle: sample the work and leave the thread
@@ -181,8 +189,8 @@ and begin_cycle m node =
         rq_total = 0.; wire_total = 0. }
     in
     node.current_cycle <- Some cycle;
-    let w = Distribution.sample thread.Spec.work node.rng in
-    node.tstate <- Suspended { remaining = w }
+    m.work_left.(node.id) <- Distribution.sample thread.Spec.work node.rng;
+    node.tstate <- Suspended
 
 (* Work quantum complete: issue the blocking request. *)
 and thread_done m node =
@@ -249,7 +257,9 @@ and send m ~src ~cycle ~kind ~remaining ~dest ~seq =
         if m.measuring then
           m.metrics.Metrics.dropped_messages <-
             m.metrics.Metrics.dropped_messages + 1;
-        obs_event m (fun o ->
+        (match m.obs with
+        | None -> ()
+        | Some o ->
             Sim_probe.fault_event o ~node:src.id ~now:(Engine.now m.engine) "drop")
       end
       else begin
@@ -341,7 +351,9 @@ and arrival m node msg =
     if Fault.is_crashed f ~node:node.id ~now then begin
       if m.measuring then
         m.metrics.Metrics.dropped_messages <- m.metrics.Metrics.dropped_messages + 1;
-      obs_event m (fun o -> Sim_probe.fault_event o ~node:node.id ~now "drop")
+      (match m.obs with
+      | None -> ()
+      | Some o -> Sim_probe.fault_event o ~node:node.id ~now "drop")
     end
     else begin
       match msg.kind with
@@ -352,7 +364,9 @@ and arrival m node msg =
           if m.measuring then
             m.metrics.Metrics.duplicate_deliveries <-
               m.metrics.Metrics.duplicate_deliveries + 1;
-          obs_event m (fun o -> Sim_probe.fault_event o ~node:node.id ~now "duplicate")
+          (match m.obs with
+          | None -> ()
+          | Some o -> Sim_probe.fault_event o ~node:node.id ~now "duplicate")
         | Some _ | None -> Hashtbl.replace node.seen origin msg.seq);
         deliver m node msg
       | Reply -> begin
@@ -370,7 +384,9 @@ and arrival m node msg =
         | Some _ | None ->
           if m.measuring then
             m.metrics.Metrics.stale_replies <- m.metrics.Metrics.stale_replies + 1;
-          obs_event m (fun o -> Sim_probe.fault_event o ~node:node.id ~now "stale")
+          (match m.obs with
+          | None -> ()
+          | Some o -> Sim_probe.fault_event o ~node:node.id ~now "stale")
       end
     end
 
@@ -386,7 +402,9 @@ and deliver m node msg =
       m.metrics.Metrics.max_backlog <- depth
   end;
   Queue.push msg node.queue;
-  obs_event m (fun o ->
+  (match m.obs with
+  | None -> ()
+  | Some o ->
       Sim_probe.queue_depth o ~node:node.id ~now:msg.arrived ~arrival:true
         (Queue.length node.queue + if node.busy then 1 else 0));
   try_dispatch m node
@@ -405,16 +423,19 @@ and try_dispatch m node =
     let now = Engine.now m.engine in
     if not m.spec.Spec.protocol_processor then begin
       match node.tstate with
-      | Running { handle; finish } ->
+      | Running handle ->
         Engine.cancel handle;
-        node.tstate <- Suspended { remaining = finish -. now };
+        m.work_left.(node.id) <- m.work_finish.(node.id) -. now;
+        node.tstate <- Suspended;
         set_thread_running m node 0.
-      | Unstarted | Suspended _ | Blocked -> ()
+      | Unstarted | Suspended | Blocked -> ()
     end;
     let msg = Queue.pop node.queue in
     node.busy <- true;
     busy_signal m node msg.kind 1.;
-    obs_event m (fun o ->
+    (match m.obs with
+    | None -> ()
+    | Some o ->
         Sim_probe.handler_begin o ~node:node.id ~now
           ~reply:(match msg.kind with Reply -> true | Request -> false));
     let dist =
@@ -437,7 +458,9 @@ and handler_done m node msg =
   node.busy <- false;
   busy_signal m node msg.kind 0.;
   queue_signal m node msg.kind (-1.);
-  obs_event m (fun o ->
+  (match m.obs with
+  | None -> ()
+  | Some o ->
       Sim_probe.handler_end o ~node:node.id ~now
         ~reply:(match msg.kind with Reply -> true | Request -> false);
       Sim_probe.queue_depth o ~node:node.id ~now ~arrival:false
@@ -476,7 +499,9 @@ and request_timeout m node p =
           m.metrics.Metrics.retransmits <- m.metrics.Metrics.retransmits + 1;
           m.metrics.Metrics.request_sends <- m.metrics.Metrics.request_sends + 1
         end;
-        obs_event m (fun o ->
+        (match m.obs with
+        | None -> ()
+        | Some o ->
             Sim_probe.fault_event o ~node:node.id ~now:p.last_sent
               ~value:(Float.of_int p.tries) "retransmit");
         let delay = Fault.timeout_for f ~try_:p.tries m.fault_rngs.(node.id) in
@@ -494,7 +519,9 @@ and request_timeout m node p =
 and give_up m node p =
   node.pending <- None;
   node.outstanding <- node.outstanding - 1;
-  obs_event m (fun o ->
+  (match m.obs with
+  | None -> ()
+  | Some o ->
       Sim_probe.fault_event o ~node:node.id ~now:(Engine.now m.engine)
         ~value:(Float.of_int p.tries) "giveup");
   if m.measuring then begin
@@ -524,7 +551,9 @@ and complete_cycle m node msg =
       if m.measuring then
         Welford.add m.metrics.Metrics.tries_per_cycle (Float.of_int p.tries)
     | Some _ | None -> ()));
-  obs_event m (fun o ->
+  (match m.obs with
+  | None -> ()
+  | Some o ->
       Sim_probe.cycle_completed o ~node:node.id ~now
         ~rw:(cycle.t_sent -. cycle.t_start) ~wire:cycle.wire_total
         ~rq:cycle.rq_total ~ry:(now -. msg.arrived) ~total:(now -. cycle.t_start));
@@ -589,7 +618,7 @@ and finish_cycle m node =
                  m.nodes))
     | Some _ | None -> begin_cycle m node
   end
-  | Unstarted | Running _ | Suspended _ -> ()
+  | Unstarted | Running _ | Suspended -> ()
 
 (* --- driver -------------------------------------------------------------- *)
 
@@ -641,6 +670,8 @@ let prepare ?on_cycle ?rng ?obs ?budget ~seed ~warmup ~max_events ~spec () =
       links = Array.init spec.Spec.nodes (fun _ -> Array.make 4 0.);
       send_ni_free = Array.make spec.Spec.nodes 0.;
       recv_ni_free = Array.make spec.Spec.nodes 0.;
+      work_finish = Array.make spec.Spec.nodes 0.;
+      work_left = Array.make spec.Spec.nodes 0.;
       fault_rngs; obs; interrupted = None }
   in
   if thread_count = 0 then invalid_arg "Machine: no node runs a compute thread";

@@ -9,30 +9,36 @@ type t =
   | Shifted_exponential of float * float
   | Empirical of float array
 
-let validate t =
-  let ok = Ok t in
-  let err fmt = Format.kasprintf (fun s -> Error s) fmt in
+(* [None] for valid parameters, so the check on every [sample] allocates
+   nothing; the message is formatted only on failure. *)
+let invalid_reason t =
+  let err fmt = Format.kasprintf Option.some fmt in
   match t with
-  | Constant c -> if c >= 0. then ok else err "Constant: negative value %g" c
-  | Exponential m -> if m >= 0. then ok else err "Exponential: negative mean %g" m
+  | Constant c -> if c >= 0. then None else err "Constant: negative value %g" c
+  | Exponential m -> if m >= 0. then None else err "Exponential: negative mean %g" m
   | Uniform (lo, hi) ->
-    if 0. <= lo && lo <= hi then ok else err "Uniform: invalid bounds [%g, %g]" lo hi
+    if 0. <= lo && lo <= hi then None else err "Uniform: invalid bounds [%g, %g]" lo hi
   | Erlang (k, m) ->
-    if k >= 1 && m >= 0. then ok else err "Erlang: need k >= 1 and mean >= 0, got k=%d mean=%g" k m
+    if k >= 1 && m >= 0. then None
+    else err "Erlang: need k >= 1 and mean >= 0, got k=%d mean=%g" k m
   | Hyperexponential (p, m1, m2) ->
-    if 0. <= p && p <= 1. && m1 >= 0. && m2 >= 0. then ok
+    if 0. <= p && p <= 1. && m1 >= 0. && m2 >= 0. then None
     else err "Hyperexponential: invalid (p=%g, mean1=%g, mean2=%g)" p m1 m2
   | Shifted_exponential (offset, m) ->
-    if 0. <= offset && offset <= m then ok
+    if 0. <= offset && offset <= m then None
     else err "Shifted_exponential: need 0 <= offset <= mean, got offset=%g mean=%g" offset m
   | Empirical samples ->
     if Array.length samples = 0 then err "Empirical: empty sample array"
     else if Array.exists (fun x -> x < 0. || not (Float.is_finite x)) samples then
       err "Empirical: samples must be finite and non-negative"
-    else ok
+    else None
+
+let validate t = match invalid_reason t with None -> Ok t | Some reason -> Error reason
 
 let check t =
-  match validate t with Ok t -> t | Error reason -> invalid_arg ("Distribution: " ^ reason)
+  match invalid_reason t with
+  | None -> t
+  | Some reason -> invalid_arg ("Distribution: " ^ reason)
 
 let empirical_mean samples =
   Array.fold_left ( +. ) 0. samples /. Float.of_int (Array.length samples)

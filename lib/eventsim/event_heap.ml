@@ -2,7 +2,9 @@
    in flat unboxed arrays ([float array] / [int array]), payloads in a
    parallel ['a option array]. Sift compares never chase a pointer and
    neither [push] nor [pop_payload] allocates beyond the payload's own
-   [Some] cell (which is handed back verbatim by [pop_payload]).
+   [Some] cell (which is handed back verbatim by [pop_payload]). The
+   option is what gives an empty slot a value of type ['a] without an
+   unsafe cast or a caller-supplied filler.
 
    Slots at or above [size] hold [None]: a popped entry must not linger in
    the backing array, because event payloads are closures over node state
@@ -34,23 +36,10 @@ let is_empty t = t.size = 0
    as an explicit monomorphic comparison — Float time then int seq — so
    the total order (including NaN placement, which push rejects anyway)
    is defined here and not by the polymorphic compare runtime. Sequence
-   numbers are unique, so the order is total and strict. *)
-let before t i j =
-  let ti = t.times.(i) and tj = t.times.(j) in
-  if ti < tj then true
-  else if ti > tj then false
-  else t.seqs.(i) < t.seqs.(j)
-
-let swap t i j =
-  let tm = t.times.(i) in
-  t.times.(i) <- t.times.(j);
-  t.times.(j) <- tm;
-  let sq = t.seqs.(i) in
-  t.seqs.(i) <- t.seqs.(j);
-  t.seqs.(j) <- sq;
-  let d = t.data.(i) in
-  t.data.(i) <- t.data.(j);
-  t.data.(j) <- d
+   numbers are unique, so the order is total and strict. Inlined so the
+   times stay unboxed. *)
+let[@inline] precedes (ti : float) (si : int) (tj : float) (sj : int) =
+  if ti < tj then true else if ti > tj then false else si < sj
 
 let grow t =
   let cap = Array.length t.data in
@@ -65,25 +54,32 @@ let grow t =
   t.seqs <- seqs;
   t.data <- data
 
+(* Both sifts move a hole rather than swapping entries: each level costs
+   one store per array, and the moving entry is written once, where the
+   hole stops. *)
 let push t ~time x =
   if not (Float.is_finite time) then invalid_arg "Event_heap.push: non-finite time";
   if t.size = Array.length t.data then grow t;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
   let i = ref t.size in
   t.size <- t.size + 1;
-  t.times.(!i) <- time;
-  t.seqs.(!i) <- t.next_seq;
-  t.data.(!i) <- Some x;
-  t.next_seq <- t.next_seq + 1;
-  (* Sift up. *)
+  (* Sift up. The new entry has the largest sequence number, so it goes
+     above a parent only when its time is strictly earlier. *)
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if before t !i parent then begin
-      swap t !i parent;
+    if time < t.times.(parent) then begin
+      t.times.(!i) <- t.times.(parent);
+      t.seqs.(!i) <- t.seqs.(parent);
+      t.data.(!i) <- t.data.(parent);
       i := parent
     end
     else continue := false
-  done
+  done;
+  t.times.(!i) <- time;
+  t.seqs.(!i) <- seq;
+  t.data.(!i) <- Some x
 [@@lint.allow
   "unbounded-retry"
     "the sift-up loop strictly decreases the index toward the root each \
@@ -111,26 +107,34 @@ let pop_payload t =
     end
     else begin
       let last = t.size in
-      t.times.(0) <- t.times.(last);
-      t.seqs.(0) <- t.seqs.(last);
-      t.data.(0) <- t.data.(last);
-      (* Null the vacated slot so the entry moved to the root is the only
+      let time = t.times.(last) and seq = t.seqs.(last) and cell = t.data.(last) in
+      (* Null the vacated slot so the entry moved into the hole is the only
          reference the array keeps. *)
       t.data.(last) <- None;
-      (* Sift down. *)
+      (* Sift down the hole left at the root. *)
       let i = ref 0 in
       let continue = ref true in
       while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.size && before t l !smallest then smallest := l;
-        if r < t.size && before t r !smallest then smallest := r;
-        if !smallest <> !i then begin
-          swap t !i !smallest;
-          i := !smallest
+        let l = (2 * !i) + 1 in
+        if l >= last then continue := false
+        else begin
+          let r = l + 1 in
+          let c =
+            if r < last && precedes t.times.(r) t.seqs.(r) t.times.(l) t.seqs.(l) then r
+            else l
+          in
+          if precedes t.times.(c) t.seqs.(c) time seq then begin
+            t.times.(!i) <- t.times.(c);
+            t.seqs.(!i) <- t.seqs.(c);
+            t.data.(!i) <- t.data.(c);
+            i := c
+          end
+          else continue := false
         end
-        else continue := false
-      done
+      done;
+      t.times.(!i) <- time;
+      t.seqs.(!i) <- seq;
+      t.data.(!i) <- cell
     end;
     top
   end
