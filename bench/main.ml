@@ -14,7 +14,8 @@
    Tables go to stdout; timing goes to stderr so that full-run stdout is
    byte-comparable across runs and across --jobs settings. Full runs also
    write BENCH_<gitsha>.json with micro ns/run estimates and per-artifact
-   wall-clock times. *)
+   wall-clock times (BENCH_<gitsha>-dirty.json when tracked files differ
+   from HEAD). *)
 
 module Experiments = Lopc_repro.Experiments
 module Parallel = Lopc_repro.Parallel
@@ -193,14 +194,27 @@ let run_micro () =
 
 (* --- BENCH_<gitsha>.json -------------------------------------------------- *)
 
-let git_sha () =
+(* The first line [cmd] prints ("" when it prints nothing), or [None]
+   when it cannot run or exits nonzero. *)
+let first_line cmd =
   try
-    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+    let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
     let line = try String.trim (input_line ic) with End_of_file -> "" in
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when line <> "" -> line
-    | _ -> "unknown"
-  with _ -> "unknown"
+    match Unix.close_process_in ic with Unix.WEXITED 0 -> Some line | _ -> None
+  with _ -> None
+
+(* HEAD's short sha, and whether tracked files differ from it: a record
+   taken on a modified tree holds that tree's timings, not HEAD's. *)
+let git_revision () =
+  match first_line "git rev-parse --short HEAD" with
+  | None | Some "" -> ("unknown", false)
+  | Some sha ->
+    let dirty =
+      match first_line "git status --porcelain --untracked-files=no" with
+      | Some "" | None -> false
+      | Some _ -> true
+    in
+    (sha, dirty)
 
 let json_string s =
   let buf = Buffer.create (String.length s + 2) in
@@ -218,13 +232,14 @@ let json_string s =
   Buffer.add_char buf '"';
   Buffer.contents buf
 
-let write_bench_json ~sha ~fidelity ~jobs ~wall_s ~artifact_times ~micro =
-  let path = Printf.sprintf "BENCH_%s.json" sha in
+let write_bench_json ~sha ~dirty ~fidelity ~jobs ~wall_s ~artifact_times ~micro =
+  let path = Printf.sprintf "BENCH_%s%s.json" sha (if dirty then "-dirty" else "") in
   let oc = open_out path in
   let item fmt = Printf.ksprintf (output_string oc) fmt in
   item "{\n";
   item "  \"schema\": \"lopc-bench/1\",\n";
   item "  \"git_sha\": %s,\n" (json_string sha);
+  item "  \"dirty\": %b,\n" dirty;
   item "  \"fidelity\": %s,\n"
     (json_string (match fidelity with Experiments.Quick -> "quick" | Full -> "full"));
   item "  \"jobs\": %d,\n" jobs;
@@ -350,8 +365,8 @@ let main () =
       let wall_s = Unix.gettimeofday () -. t0 in
       let micro = micro_estimates () in
       let json_path =
-        write_bench_json ~sha:(git_sha ()) ~fidelity ~jobs ~wall_s ~artifact_times
-          ~micro
+        let sha, dirty = git_revision () in
+        write_bench_json ~sha ~dirty ~fidelity ~jobs ~wall_s ~artifact_times ~micro
       in
       (* Count what was actually emitted, not the name list: the two can
          drift, and the summary is the line CI greps for. *)

@@ -567,10 +567,13 @@ let validate_cmd =
     (* Every case must fit the machine before the table starts, so a
        bad -p exits 2 with the same message as predict and simulate. *)
     let invalid =
-      List.find_map
-        (fun (_, pat, _, _) ->
-          match Pattern.validate ~nodes:p pat with Ok _ -> None | Error msg -> Some msg)
-        cases
+      match params_of ~p ~st:40. ~so:200. ~c2:0. with
+      | `Error (_, msg) -> Some msg
+      | `Ok _ ->
+        List.find_map
+          (fun (_, pat, _, _) ->
+            match Pattern.validate ~nodes:p pat with Ok _ -> None | Error msg -> Some msg)
+          cases
     in
     match invalid with
     | Some msg -> `Error (false, msg)

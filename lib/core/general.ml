@@ -60,105 +60,196 @@ let validate t =
       match !problem with Some reason -> Error reason | None -> Ok t
     end
 
-(* Per-node queue lengths given request-handler utilization [a = So·Λk]
-   and reply-handler utilization [b = So·Xk] (Bard + Eq 5.8 correction):
+(* The evaluation kernel of one solve. The visit matrix is stored twice
+   in compressed form, both times holding only the thread rows [c] with
+   [V(c,k) > 0]: by target node ([into_*].(k), sources [c] in increasing
+   order) for the arrival rates [Λk], and by thread ([out_*].(c), targets
+   [k] in increasing order) for the request residences a cycle collects.
+   [evaluate] writes every per-node quantity of an iterate into the float
+   arrays below, which are allocated once per solve; plain loops with
+   local accumulators keep every intermediate float unboxed.
+
+   Against the dense sums over the whole matrix this is bit-identical:
+   the summation order is the same, and a skipped term is [0 · x] with
+   [x] finite (a zero visit ratio, or a pure server whose throughput
+   stays [+0.]), which adds exactly nothing to a sum that starts at [+0.]
+   and so never holds [-0.]. *)
+type kernel = {
+  st : float;
+  so : float;
+  beta : float;
+  max_queue : float;
+  protocol_processor : bool;
+  work : float array;  (* [nan] for pure servers *)
+  into_node : int array array;
+  into_visits : float array array;
+  out_node : int array array;
+  out_visits : float array array;
+  rq : float array;
+  ry : float array;
+  rw : float array;
+  qq : float array;
+  qy : float array;
+  uq : float array;
+  uy : float array;
+}
+
+(* Row [i] of [m] (of its transpose when [transpose]) compressed to the
+   [j] with a positive entry, in increasing order, and those entries. One
+   small array per row keeps the structure in the minor heap, where it
+   dies with the solve. *)
+let compress ~transpose m =
+  let n = Array.length m in
+  let row_nodes = Array.make n 0 and row_visits = Array.make n 0. in
+  let nodes = Array.make n [||] and visits = Array.make n [||] in
+  for i = 0 to n - 1 do
+    let count = ref 0 in
+    for j = 0 to n - 1 do
+      let v = if transpose then m.(j).(i) else m.(i).(j) in
+      if v > 0. then begin
+        row_nodes.(!count) <- j;
+        row_visits.(!count) <- v;
+        incr count
+      end
+    done;
+    nodes.(i) <- Array.sub row_nodes 0 !count;
+    visits.(i) <- Array.sub row_visits 0 !count
+  done;
+  (nodes, visits)
+
+let kernel t =
+  let p = Array.length t.nodes in
+  let { Params.st; so; c2; _ } = t.params in
+  let work =
+    Array.map (fun (spec : node_spec) -> Option.value spec.work ~default:Float.nan) t.nodes
+  in
+  let thread_count =
+    Array.fold_left
+      (fun acc (spec : node_spec) -> if Option.is_none spec.work then acc else acc + 1)
+      0 t.nodes
+  in
+  let rows =
+    Array.map
+      (fun (spec : node_spec) -> if Option.is_none spec.work then Array.make p 0. else spec.visits)
+      t.nodes
+  in
+  let into_node, into_visits = compress ~transpose:true rows in
+  let out_node, out_visits = compress ~transpose:false rows in
+  let node_array () = Array.make p 0. in
+  {
+    st;
+    so;
+    beta = (c2 -. 1.) /. 2.;
+    (* In a closed network a node can never hold more messages than there
+       are threads (each thread has at most one request in flight), so
+       queue lengths are clamped to that physical bound; this keeps the
+       outer fixed-point iteration stable when an intermediate iterate
+       saturates a node. *)
+    max_queue = Float.of_int thread_count;
+    protocol_processor = t.protocol_processor;
+    work;
+    into_node;
+    into_visits;
+    out_node;
+    out_visits;
+    rq = node_array ();
+    ry = node_array ();
+    rw = node_array ();
+    qq = node_array ();
+    qy = node_array ();
+    uq = node_array ();
+    uy = node_array ();
+  }
+
+(* Every per-node quantity for the throughput vector [x]. Per node, with
+   request-handler utilization [a = So·Λk] and reply-handler utilization
+   [b = So·Xk], the queue lengths solve (Bard + Eq 5.8 correction)
      Qq = a·(1 + Qq + Qy + β(a+b))
      Qy = b·(1 + Qq + β·a)
-   solved exactly as a 2×2 system.
+   exactly as a 2×2 system, clamped to [max_queue]. *)
+let evaluate k x =
+  let { so; beta; max_queue; _ } = k in
+  for n = 0 to Array.length x - 1 do
+    let sources = k.into_node.(n) and visits = k.into_visits.(n) in
+    let lambda = ref 0. in
+    for e = 0 to Array.length sources - 1 do
+      lambda := !lambda +. (visits.(e) *. x.(sources.(e)))
+    done;
+    let a = so *. !lambda in
+    let b = so *. x.(n) in
+    let denom = 1. -. a -. (a *. b) in
+    if denom <= 1e-9 then begin
+      k.qq.(n) <- max_queue;
+      k.qy.(n) <- Float.min max_queue (b *. (1. +. max_queue +. (beta *. a)))
+    end
+    else begin
+      let qq = a *. (1. +. b +. (beta *. (a +. b)) +. (beta *. a *. b)) /. denom in
+      let qq = Float.max 0. (Float.min qq max_queue) in
+      k.qq.(n) <- qq;
+      k.qy.(n) <- Float.max 0. (Float.min (b *. (1. +. qq +. (beta *. a))) max_queue)
+    end;
+    let qq = k.qq.(n) in
+    k.rq.(n) <- so *. (1. +. qq +. k.qy.(n) +. (beta *. (a +. b)));
+    k.ry.(n) <- so *. (1. +. qq +. (beta *. a));
+    let w = k.work.(n) in
+    k.rw.(n) <-
+      (if Float.is_nan w || k.protocol_processor then w
+       else (w +. (so *. qq)) /. Float.max 1e-6 (1. -. a));
+    k.uq.(n) <- a;
+    k.uy.(n) <- b
+  done
 
-   In a closed network a node can never hold more messages than there are
-   threads (each thread has at most one request in flight), so queue
-   lengths are clamped to that physical bound; this keeps the outer
-   fixed-point iteration stable when an intermediate iterate saturates a
-   node. *)
-let node_queues ~beta ~max_queue a b =
-  let denom = 1. -. a -. (a *. b) in
-  if denom <= 1e-9 then (max_queue, Float.min max_queue (b *. (1. +. max_queue +. (beta *. a))))
-  else begin
-    let qq = a *. (1. +. b +. (beta *. (a +. b)) +. (beta *. a *. b)) /. denom in
-    let qq = Float.max 0. (Float.min qq max_queue) in
-    let qy = Float.max 0. (Float.min (b *. (1. +. qq +. (beta *. a))) max_queue) in
-    (qq, qy)
-  end
+(* Cycle time [Rc] of every thread node ([nan] for pure servers) from the
+   last [evaluate], written into [r]. *)
+let fill_cycle_times k r =
+  let st = k.st in
+  for c = 0 to Array.length r - 1 do
+    if Float.is_nan k.work.(c) then r.(c) <- Float.nan
+    else begin
+      let targets = k.out_node.(c) and visits = k.out_visits.(c) in
+      let acc = ref 0. in
+      for e = 0 to Array.length targets - 1 do
+        acc := !acc +. (visits.(e) *. (st +. k.rq.(targets.(e))))
+      done;
+      r.(c) <- k.rw.(c) +. !acc +. st +. k.ry.(c)
+    end
+  done
+
+(* The node with the most loaded request handlers after the last
+   [evaluate] (the first such node; a [nan] utilization wins) — the
+   probe's [hottest] and the saturation diagnosis agree on it. *)
+let hottest k =
+  let best = ref 0 in
+  for n = 1 to Array.length k.uq - 1 do
+    if not (k.uq.(!best) >= k.uq.(n)) then best := n
+  done;
+  (!best, k.uq.(!best))
 
 let solve_status ?probe ?budget ?(tol = 1e-12) ?(max_iter = 200_000) t =
   (match validate t with
   | Ok _ -> ()
   | Error reason -> invalid_arg ("General: " ^ reason));
   let p = Array.length t.nodes in
-  let { Params.st; so; c2; _ } = t.params in
-  let beta = (c2 -. 1.) /. 2. in
-  let thread_count =
-    Array.fold_left
-      (fun acc spec -> if Option.is_none spec.work then acc else acc + 1)
-      0 t.nodes
-  in
-  let max_queue = Float.of_int thread_count in
-  let hops =
-    Array.map
-      (fun spec -> Array.fold_left ( +. ) 0. spec.visits)
-      t.nodes
-  in
-  (* Full per-node analysis for a given throughput vector. *)
-  let analyze x =
-    let lambda =
-      Array.init p (fun k ->
-          let acc = ref 0. in
-          Array.iteri (fun c spec -> acc := !acc +. (spec.visits.(k) *. x.(c))) t.nodes;
-          !acc)
-    in
-    Array.init p (fun k ->
-        let a = so *. lambda.(k) in
-        let b = so *. x.(k) in
-        let qq, qy = node_queues ~beta ~max_queue a b in
-        let rq = so *. (1. +. qq +. qy +. (beta *. (a +. b))) in
-        let ry = so *. (1. +. qq +. (beta *. a)) in
-        let rw =
-          match t.nodes.(k).work with
-          | None -> Float.nan
-          | Some w ->
-            if t.protocol_processor then w
-            else (w +. (so *. qq)) /. Float.max 1e-6 (1. -. a)
-        in
-        { rq; ry; rw; qq; qy; uq = a; uy = b })
-  in
-  let cycle_time per_node c =
-    match t.nodes.(c).work with
-    | None -> Float.nan
-    | Some _ ->
-      let spec = t.nodes.(c) in
-      let acc = ref 0. in
-      Array.iteri
-        (fun k v -> if v > 0. then acc := !acc +. (v *. (st +. per_node.(k).rq)))
-        spec.visits;
-      per_node.(c).rw +. !acc +. st +. per_node.(c).ry
-  in
+  let k = kernel t in
   let step x =
-    let per_node = analyze x in
-    Array.init p (fun c ->
-        match t.nodes.(c).work with
-        | None -> 0.
-        | Some _ -> 1. /. cycle_time per_node c)
+    evaluate k x;
+    let fx = Array.make p 0. in
+    fill_cycle_times k fx;
+    for c = 0 to p - 1 do
+      fx.(c) <- (if Float.is_nan k.work.(c) then 0. else 1. /. fx.(c))
+    done;
+    fx
   in
   let x0 =
-    Array.init p (fun c ->
-        match t.nodes.(c).work with
+    Array.map
+      (fun (spec : node_spec) ->
+        match spec.work with
         | None -> 0.
         | Some w ->
           (* Contention-free starting point. *)
-          1. /. (w +. (hops.(c) *. (st +. so)) +. st +. so))
-  in
-  (* The node with the most loaded request handlers at an iterate — the
-     probe's [hottest] and the saturation diagnosis below agree on it. *)
-  let hottest per_node =
-    let best = ref None in
-    Array.iteri
-      (fun k (ns : node_solution) ->
-        match !best with
-        | Some (_, u) when u >= ns.uq -> ()
-        | _ -> best := Some (k, ns.uq))
-      per_node;
-    !best
+          let hops = Array.fold_left ( +. ) 0. spec.visits in
+          1. /. (w +. (hops *. (k.st +. k.so)) +. k.st +. k.so))
+      t.nodes
   in
   let fp_probe =
     match probe with
@@ -166,7 +257,8 @@ let solve_status ?probe ?budget ?(tol = 1e-12) ?(max_iter = 200_000) t =
     | Some pr ->
       Some
         (fun (ev : Solver_probe.event) ->
-          pr { ev with Solver_probe.hottest = hottest (analyze ev.Solver_probe.iterate) })
+          evaluate k ev.Solver_probe.iterate;
+          pr { ev with Solver_probe.hottest = Some (hottest k) })
   in
   let outcome, status =
     Fixed_point.solve_vector_status ?probe:fp_probe ?budget ~damping:0.1 ~tol ~max_iter
@@ -175,13 +267,26 @@ let solve_status ?probe ?budget ?(tol = 1e-12) ?(max_iter = 200_000) t =
   let x = outcome.Fixed_point.value in
   match status with
   | Fixed_point.Converged _ ->
-    let per_node = analyze x in
-    let cycle_times = Array.init p (fun c -> cycle_time per_node c) in
+    evaluate k x;
+    let cycle_times = Array.make p 0. in
+    fill_cycle_times k cycle_times;
+    let node_solutions =
+      Array.init p (fun n ->
+          {
+            rq = k.rq.(n);
+            ry = k.ry.(n);
+            rw = k.rw.(n);
+            qq = k.qq.(n);
+            qy = k.qy.(n);
+            uq = k.uq.(n);
+            uy = k.uy.(n);
+          })
+    in
     ( Some
         {
           cycle_times;
           throughputs = x;
-          node_solutions = per_node;
+          node_solutions;
           system_throughput = Array.fold_left ( +. ) 0. x;
         },
       status )
@@ -192,11 +297,10 @@ let solve_status ?probe ?budget ?(tol = 1e-12) ?(max_iter = 200_000) t =
     (* Diagnose the stall from the last iterate: a node whose request
        handlers are driven to (or past) full utilization has no finite
        fixed point — report it as saturation with the culprit node. *)
-    let per_node = analyze x in
-    (match hottest per_node with
-    | Some (station, utilization) when utilization >= 1. -. 1e-9 ->
-      (None, Fixed_point.Saturated { station; utilization })
-    | Some _ | None -> (None, status))
+    evaluate k x;
+    let station, utilization = hottest k in
+    if utilization >= 1. -. 1e-9 then (None, Fixed_point.Saturated { station; utilization })
+    else (None, status)
 
 let solve ?probe ?tol ?max_iter t =
   match solve_status ?probe ?tol ?max_iter t with

@@ -5,9 +5,15 @@ type t = {
   c2 : float [@lopc.cost];
 }
 
+(* Pattern.to_general lowers a machine to a dense P×P visit matrix, which
+   is 128 MiB at this bound; a larger P is rejected before anything of
+   that size is allocated. *)
+let max_p = 4096
+
 let validate t =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
   if t.p < 1 then err "need at least one processor, got P=%d" t.p
+  else if t.p > max_p then err "P must be at most %d, got P=%d" max_p t.p
   else if t.st < 0. || not (Float.is_finite t.st) then err "St must be finite and >= 0, got %g" t.st
   else if t.so <= 0. || not (Float.is_finite t.so) then err "So must be finite and > 0, got %g" t.so
   else if t.c2 < 0. || not (Float.is_finite t.c2) then err "C2 must be finite and >= 0, got %g" t.c2

@@ -29,8 +29,12 @@ type t = {
 val create : ?c2:float -> p:int -> st:float -> so:float -> unit -> t
 (** [create ~p ~st ~so ()] validates and builds a parameter set. [c2]
     defaults to [1.] (the paper's default exponential assumption).
-    @raise Invalid_argument if [p < 1], [st < 0.], [so <= 0.] or
-    [c2 < 0.]. *)
+    @raise Invalid_argument if [p < 1], [p > max_p], [st < 0.],
+    [so <= 0.] or [c2 < 0.]. *)
+
+val max_p : int
+(** The largest machine accepted, [4096]: the Appendix-A lowering of a
+    pattern holds a dense [P × P] visit matrix (128 MiB at this size). *)
 
 val of_logp : l:float -> o:float -> p:int -> t
 (** [of_logp ~l ~o ~p] imports a LogP characterization directly:

@@ -99,10 +99,21 @@ let solve_scalar ?(damping = 1.) ?(tol = 1e-10) ?(max_iter = 10_000) ~f x0 =
   | x, Converged _, _ -> x
   | _, _, reason -> raise (Diverged reason)
 
+(* The vector solvers' reductions are plain loops so that no float is
+   boxed per element. *)
 let max_norm_diff a b =
   let m = ref 0. in
-  Array.iteri (fun i ai -> m := Float.max !m (Float.abs (ai -. b.(i)))) a;
+  for i = 0 to Array.length a - 1 do
+    m := Float.max !m (Float.abs (a.(i) -. b.(i)))
+  done;
   !m
+
+let all_finite a =
+  let ok = ref true in
+  for i = 0 to Array.length a - 1 do
+    if not (Float.is_finite a.(i)) then ok := false
+  done;
+  !ok
 
 (* Shared core for the vector solvers, mirroring [scalar_impl]. *)
 let vector_impl ?probe ?budget ~damping ~tol ~max_iter ~f ~name x0 =
@@ -133,7 +144,7 @@ let vector_impl ?probe ?budget ~damping ~tol ~max_iter ~f ~name x0 =
                "vector map changed dimension" );
          raise Exit
        end;
-       if not (Array.for_all Float.is_finite fx) then begin
+       if not (all_finite fx) then begin
          result :=
            Some
              ( { value = !x; iterations = iter; residual = Float.nan },
@@ -153,8 +164,12 @@ let vector_impl ?probe ?budget ~damping ~tol ~max_iter ~f ~name x0 =
              iterate = Array.copy !x;
              hottest = None;
            });
-       let scale = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 1. !x in
-       if residual <= tol *. scale then begin
+       let xs = !x in
+       let scale = ref 1. in
+       for i = 0 to n - 1 do
+         scale := Float.max !scale (Float.abs xs.(i))
+       done;
+       if residual <= tol *. !scale then begin
          result :=
            Some
              ( { value = fx; iterations = iter; residual },
@@ -162,9 +177,10 @@ let vector_impl ?probe ?budget ~damping ~tol ~max_iter ~f ~name x0 =
                "" );
          raise Exit
        end;
-       let next =
-         Array.mapi (fun i xi -> ((1. -. damping) *. xi) +. (damping *. fx.(i))) !x
-       in
+       let next = Array.make n 0. in
+       for i = 0 to n - 1 do
+         next.(i) <- ((1. -. damping) *. xs.(i)) +. (damping *. fx.(i))
+       done;
        x := next
      done
    with Exit -> ());
@@ -173,7 +189,7 @@ let vector_impl ?probe ?budget ~damping ~tol ~max_iter ~f ~name x0 =
   | None ->
       let fx = f !x in
       let residual =
-        if Array.length fx = n && Array.for_all Float.is_finite fx then
+        if Array.length fx = n && all_finite fx then
           max_norm_diff fx !x
         else Float.nan
       in

@@ -27,6 +27,7 @@ let test_params_validation () =
       (fun () -> Params.create ~p:2 ~st:(-1.) ~so:1. ());
       (fun () -> Params.create ~p:2 ~st:1. ~so:0. ());
       (fun () -> Params.create ~c2:(-0.5) ~p:2 ~st:1. ~so:1. ());
+      (fun () -> Params.create ~p:(Params.max_p + 1) ~st:1. ~so:1. ());
     ]
 
 let test_params_of_logp () =
@@ -617,6 +618,109 @@ let prop_general_homogeneous_matches =
       let general = (G.solve (G.homogeneous_all_to_all params ~w)).G.cycle_times.(0) in
       Float.abs (direct -. general) < 1e-4 *. direct)
 
+(* --- general: known answers and allocation ------------------------------- *)
+
+module Pattern = Lopc_workloads.Pattern
+module Fixed_point = Lopc_numerics.Fixed_point
+
+let status_to_exact_string = function
+  | Fixed_point.Converged { iters } -> Printf.sprintf "converged %d" iters
+  | Fixed_point.Saturated { station; utilization } ->
+    Printf.sprintf "saturated %d %h" station utilization
+  | Fixed_point.Diverged { iters; residual } -> Printf.sprintf "diverged %d %h" iters residual
+  | Fixed_point.Exhausted { iters; _ } -> Printf.sprintf "exhausted %d" iters
+
+(* Every float of a solution in %h (cycle times, throughputs, the seven
+   quantities of each node, system throughput), so a digest of the
+   rendering pins each bit. *)
+let exact_rendering (s : G.solution) =
+  let b = Buffer.create 4096 in
+  let add x = Printf.bprintf b " %h" x in
+  Array.iter add s.G.cycle_times;
+  Array.iter add s.G.throughputs;
+  Array.iter
+    (fun (n : G.node_solution) -> List.iter add G.[ n.rq; n.ry; n.rw; n.qq; n.qy; n.uq; n.uy ])
+    s.G.node_solutions;
+  add s.G.system_throughput;
+  Buffer.contents b
+
+(* [General.solve_status] outputs at St = 40, recorded bit for bit from
+   the dense-matrix solver that preceded the sparse kernel:
+   (name, instance, max_iter, status, system throughput, MD5 of
+   [exact_rendering]). *)
+let general_known_answers =
+  let lower ?(pp = false) ~p ~so ~c2 ~w pattern =
+    Pattern.to_general ~protocol_processor:pp (params ~c2 ~p ~so ()) ~w pattern
+  in
+  [
+    ( "hotspot",
+      lower ~p:8 ~so:200. ~c2:1. ~w:1000. (Pattern.Hotspot { hot = 0; fraction = 0.5 }),
+      None, "converged 184", "0x1.1e953d35bc2ap-8",
+      "4ad76c2c2d21ef903c14af885d0665b5" );
+    ( "multi-hop",
+      lower ~p:8 ~so:200. ~c2:0.5 ~w:500. (Pattern.Multi_hop { hops = 3 }),
+      None, "converged 123", "0x1.f18540125cb61p-9",
+      "384f2d0138cb9fa60d4f2cc12ab5a110" );
+    ( "client-server",
+      lower ~p:8 ~so:131. ~c2:1. ~w:2000. (Pattern.Client_server { servers = 2 }),
+      None, "converged 145", "0x1.4c194a17b928cp-9",
+      "d248c9d1ebaa9194368f071e5ab836fb" );
+    ( "staggered",
+      lower ~p:6 ~so:200. ~c2:1.5 ~w:300. Pattern.All_to_all_staggered,
+      None, "converged 132", "0x1.6259455aa6be4p-8",
+      "4dff7ab26a0bf92aca36f3fc3056c696" );
+    ( "protocol processor",
+      lower ~pp:true ~p:6 ~so:200. ~c2:1. ~w:800. (Pattern.Hotspot { hot = 2; fraction = 0.3 }),
+      None, "converged 150", "0x1.133587bb9e7e5p-8",
+      "23bacb9c52e36592b6582f82b16d6f51" );
+    ( "C2 = 0",
+      lower ~p:4 ~so:200. ~c2:0. ~w:100. Pattern.All_to_all,
+      None, "converged 128", "0x1.3e95af709482fp-8",
+      "a404a2f202ae1efa7139662b130c2dd7" );
+    ( "C2 = 2",
+      lower ~p:5 ~so:256. ~c2:2. ~w:800. (Pattern.Multi_hop { hops = 2 }),
+      None, "converged 126", "0x1.0aa6466660eccp-9",
+      "01a2962c0e13fec60440f7acbdbcfa07" );
+    ( "saturated",
+      lower ~p:8 ~so:200. ~c2:1. ~w:0. (Pattern.Hotspot { hot = 3; fraction = 1. }),
+      Some 10, "saturated 3 0x1.86362a5b3c88ep+0", "",
+      "" );
+    ( "diverged",
+      lower ~p:8 ~so:200. ~c2:1. ~w:500. (Pattern.Multi_hop { hops = 2 }),
+      Some 7, "diverged 7 0x1.eb9f52a253d3p-14", "",
+      "" );
+  ]
+
+let test_general_known_answers () =
+  List.iter
+    (fun (name, net, max_iter, status, throughput, digest) ->
+      let sol, st = G.solve_status ?max_iter net in
+      Alcotest.(check string) (name ^ ": status") status (status_to_exact_string st);
+      let x, d =
+        match sol with
+        | None -> ("", "")
+        | Some s ->
+          ( Printf.sprintf "%h" s.G.system_throughput,
+            Digest.to_hex (Digest.string (exact_rendering s)) )
+      in
+      Alcotest.(check string) (name ^ ": system throughput") throughput x;
+      Alcotest.(check string) (name ^ ": solution digest") digest d)
+    general_known_answers
+
+(* The fixed point allocates little besides the two iterate arrays per
+   iteration (minor words, not wall clock). *)
+let test_general_allocation_budget () =
+  let net = G.homogeneous_all_to_all (params ~c2:0. ~p:32 ~st:40. ~so:200. ()) ~w:1000. in
+  let before = Gc.minor_words () in
+  let _, status = G.solve_status net in
+  let words = Gc.minor_words () -. before in
+  match status with
+  | Fixed_point.Converged { iters } ->
+    let per_iter = words /. Float.of_int iters in
+    if per_iter > 1000. then
+      Alcotest.failf "%.1f minor words per iteration, budget 1000" per_iter
+  | st -> Alcotest.failf "did not converge: %s" (Fixed_point.status_to_string st)
+
 let suite =
   [
     Alcotest.test_case "params validation" `Quick test_params_validation;
@@ -682,4 +786,7 @@ let suite =
     Alcotest.test_case "general: validation" `Quick test_general_validation;
     Alcotest.test_case "general: pure servers" `Quick test_general_servers_have_nan_cycles;
     QCheck_alcotest.to_alcotest prop_general_homogeneous_matches;
+    Alcotest.test_case "general: known answers" `Quick test_general_known_answers;
+    Alcotest.test_case "general: allocation budget per iteration" `Quick
+      test_general_allocation_budget;
   ]
